@@ -259,7 +259,7 @@ func BenchmarkFigure7Decomposition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total, n := 0, 0
 		for _, t := range sub {
-			res := normalize.Decompose(t, fd.MaxLHS, rng)
+			res := normalize.Decompose(t, fd.Discover(t, fd.MaxLHS), fd.MaxLHS, rng)
 			if !res.InBCNF() {
 				total += len(res.Tables)
 				n++

@@ -189,6 +189,21 @@ func (c *Client) FetchAll() ([]*FetchedTable, FunnelStats, error) {
 // unreachable package_list (there is nothing to crawl) and context
 // cancellation.
 func (c *Client) FetchAllContext(ctx context.Context) ([]*FetchedTable, FunnelStats, error) {
+	return c.crawl(ctx, true)
+}
+
+// Funnel runs the same crawl as FetchAllContext (same requests, retry
+// schedule, metrics, spans and failure ledger) but returns only the
+// funnel statistics: each parsed table is dropped as soon as its
+// outcome is known, so the crawl never holds the portal's tables.
+func (c *Client) Funnel(ctx context.Context) (FunnelStats, error) {
+	_, stats, err := c.crawl(ctx, false)
+	return stats, err
+}
+
+// crawl is the acquisition pipeline behind FetchAllContext and Funnel.
+// With keep false, no parsed table outlives its download task.
+func (c *Client) crawl(ctx context.Context, keep bool) ([]*FetchedTable, FunnelStats, error) {
 	var stats FunnelStats
 	spanList := c.Trace.Child(StagePackageList)
 	ids, lt, err := c.packageList(ctx)
@@ -274,6 +289,9 @@ func (c *Client) FetchAllContext(ctx context.Context) ([]*FetchedTable, FunnelSt
 			return r
 		}
 		r.ft, r.wide = c.process(w.res.ID, w.res.Name, body)
+		if r.ft != nil && !keep {
+			r.ft = &FetchedTable{RawSize: r.ft.RawSize} // the outcome and size, not the table
+		}
 		return r
 	})
 	if err != nil {
@@ -301,14 +319,17 @@ func (c *Client) FetchAllContext(ctx context.Context) ([]*FetchedTable, FunnelSt
 			continue
 		}
 		stats.Readable++
+		spanDownload.AddBytes(r.ft.RawSize)
+		if !keep {
+			continue
+		}
 		r.ft.DatasetID = w.pkg.ID
 		r.ft.DatasetTitle = w.pkg.Title
 		r.ft.Published = w.published
 		r.ft.Table.DatasetID = w.pkg.ID
-		spanDownload.AddBytes(r.ft.RawSize)
 		out = append(out, r.ft)
 	}
-	spanDownload.AddItems(len(out))
+	spanDownload.AddItems(stats.Readable)
 	spanDownload.End()
 	c.recordFunnel(stats)
 	return out, stats, nil

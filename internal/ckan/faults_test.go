@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ogdp/internal/obs"
 )
 
 // fastClient returns a client tuned for fault tests: near-zero
@@ -264,5 +266,61 @@ func TestFetchAllContextCanceled(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "context canceled") {
 		t.Errorf("err = %v, want context cancellation", err)
+	}
+}
+
+// TestFunnelMatchesFetchAll checks that Funnel is FetchAllContext
+// without the tables: under the same fault schedule it returns the
+// same stats (failure ledger included) and records the same metrics
+// and span items and bytes.
+func TestFunnelMatchesFetchAll(t *testing.T) {
+	s := NewServer(faultPortal())
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	faults := Faults{
+		Seed:        7,
+		PackageShow: FaultSpec{Rate500: 0.3},
+		Download:    FaultSpec{Rate500: 0.3, TruncateRate: 0.15},
+	}
+	run := func(funnel bool) (FunnelStats, string, string) {
+		s.InjectFaults(faults) // reset attempt counters: identical schedule
+		c := fastClient(srv.URL, 4, 2)
+		c.Metrics = obs.NewRegistry()
+		c.Trace = obs.NewTrace("fetch")
+		var st FunnelStats
+		var err error
+		if funnel {
+			st, err = c.Funnel(context.Background())
+		} else {
+			var tables []*FetchedTable
+			tables, st, err = c.FetchAll()
+			if len(tables) != st.Readable {
+				t.Errorf("FetchAll returned %d tables, stats say %d readable", len(tables), st.Readable)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var metrics, tree strings.Builder
+		c.Metrics.Snapshot().WriteText(&metrics)
+		c.Trace.WriteTree(&tree)
+		return st, metrics.String(), tree.String()
+	}
+	wantStats, wantMetrics, wantTree := run(false)
+	gotStats, gotMetrics, gotTree := run(true)
+	if !reflect.DeepEqual(gotStats, wantStats) {
+		t.Errorf("stats differ:\nFunnel   %+v\nFetchAll %+v", gotStats, wantStats)
+	}
+	if gotMetrics != wantMetrics {
+		t.Errorf("metrics differ:\nFunnel:\n%s\nFetchAll:\n%s", gotMetrics, wantMetrics)
+	}
+	if gotTree != wantTree {
+		t.Errorf("span trees differ:\nFunnel:\n%s\nFetchAll:\n%s", gotTree, wantTree)
+	}
+	if wantStats.TooWide == 0 || len(wantStats.Failures) == 0 || wantStats.Readable == 0 {
+		t.Errorf("fixture should exercise wide, failed and readable outcomes: %+v", wantStats)
+	}
+	if !strings.Contains(wantTree, "bytes=") {
+		t.Errorf("span tree records no download bytes:\n%s", wantTree)
 	}
 }

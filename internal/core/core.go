@@ -616,7 +616,7 @@ func measureFunnel(src corpus.Source, portalName string, opts Options, span *obs
 	client.MetricLabels = []string{"portal", portalName}
 	client.Trace = span
 	client.Now = opts.Clock
-	_, st, err := client.FetchAll()
+	st, err := client.Funnel(context.Background())
 	span.End()
 	if err != nil {
 		return profile.FunnelCounts{}
@@ -698,7 +698,7 @@ func fdTableOne(t *table.Table, seed int64, i int) tableFD {
 	r.withFD = true
 	r.simpleFD = len(fd.SimpleFDs(fds)) > 0
 	rng := rand.New(rand.NewSource(sectionSeed(seed, seedSaltFD) + int64(i)))
-	res := normalize.Decompose(t, fd.MaxLHS, rng)
+	res := normalize.Decompose(t, fds, fd.MaxLHS, rng)
 	r.subTables = len(res.Tables)
 	r.inBCNF = res.InBCNF()
 	if !r.inBCNF {

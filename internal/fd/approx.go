@@ -48,14 +48,15 @@ func DiscoverApproximate(t *table.Table, maxLHS int, maxError float64) []ApproxF
 	}
 
 	for _, x := range enumerateSets(nCols, maxLHS) {
-		if e.card(x) == nRows {
+		p := e.build(x)
+		if len(p.rows) == 0 {
 			continue // superkey LHS: trivial
 		}
 		for a := 0; a < nCols; a++ {
 			if x.has(a) {
 				continue
 			}
-			g3 := e.g3Error(x, a)
+			g3 := e.g3Error(p, a)
 			if g3 <= maxError {
 				emit(x, a, g3)
 			}
@@ -76,39 +77,11 @@ func DiscoverApproximate(t *table.Table, maxLHS int, maxError float64) []ApproxF
 	return out
 }
 
-// g3Error computes the g3 measure of X → a: group rows by their X
-// projection; within each group the rows that keep the majority a
-// value stay, the rest must be removed.
-func (e *engine) g3Error(x attrset, a int) float64 {
-	cols := x.members(e.nCols)
-	type groupKey = uint64
-	// group hash -> (a-code -> count)
-	groups := make(map[groupKey]map[uint32]int, 256)
-	const prime64 = 1099511628211
-	for r := 0; r < e.nRows; r++ {
-		var h uint64 = 14695981039346656037
-		for _, c := range cols {
-			h ^= uint64(e.codes[c][r])
-			h *= prime64
-		}
-		m := groups[h]
-		if m == nil {
-			m = make(map[uint32]int, 4)
-			groups[h] = m
-		}
-		m[e.codes[a][r]]++
-	}
-	keep := 0
-	for _, m := range groups {
-		best := 0
-		for _, n := range m {
-			if n > best {
-				best = n
-			}
-		}
-		keep += best
-	}
-	return float64(e.nRows-keep) / float64(e.nRows)
+// g3Error computes the g3 measure of X → a from X's partition p:
+// within each class of X the rows that keep the majority a value stay,
+// the rest must be removed.
+func (e *engine) g3Error(p *partition, a int) float64 {
+	return float64(e.nRows-e.keepWith(p, a)) / float64(e.nRows)
 }
 
 // G3Error computes the g3 error of an arbitrary FD on a table: the
@@ -118,5 +91,5 @@ func G3Error(t *table.Table, f FD) float64 {
 		return 0
 	}
 	e := newEngine(t)
-	return e.g3Error(setOf(f.LHS), f.RHS)
+	return e.g3Error(e.build(setOf(f.LHS)), f.RHS)
 }

@@ -12,10 +12,22 @@
 //
 // Following the paper, an FD X → A is trivial when A ∈ X or X is a
 // (super)key, and discovery is bounded at |LHS| ≤ 4 (MaxLHS).
+//
+// Cardinalities are exact and come from stripped partitions (the
+// representation TANE uses, Huhtala et al. 1999) over the table's
+// canonical code streams, not from hashing rows: the engine keeps the
+// partition of each free set it expands, built by refining its
+// parent's partition (the set minus its highest attribute) with one
+// column, and counts |π_{X∪A}| as the distinct codes of A inside each
+// class of X, with a generation-stamped array over A's code space.
+// Only two lattice levels of partitions are held at a time. The FUN,
+// TANE, naive and approximate (g3) engines all count through this one
+// kernel (partition.go).
 package fd
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -91,16 +103,28 @@ func setOf(attrs []int) attrset {
 
 // engine runs the lattice search over the table's shared canonical
 // code streams (table.CanonCodes): per column, every null spelling is
-// code 0 and distinct non-null values are dense codes. The encoding is
-// built once per table and shared with every other analysis layer, so
-// constructing an engine allocates nothing beyond the caches below.
+// code 0 and distinct non-null values are dense codes. Cardinalities
+// of attribute sets come from stripped partitions (partition.go)
+// refined one column at a time; the code streams are shared with every
+// other analysis layer, so the engine's own memory is its cardinality
+// cache, the partitions it holds and O(code space) scratch arrays.
 type engine struct {
 	nRows     int
 	nCols     int
 	codes     [][]uint32 // codes[c]: canonical code stream of column c
 	codeSizes []int      // code-space size per column (distinct incl. the null code)
 	cards     map[attrset]int
-	scratch   map[uint64]struct{} // reused across card computations
+
+	parts   map[attrset]*partition // held partitions (see keep)
+	free    []*partition           // released partition buffers, reused by keep
+	scratch [2]partition           // build's ping-pong buffers
+	// Per-code scratch over the widest code space: stamp[v] is the
+	// generation of the class that last saw code v, count[v] its rows
+	// in that class, pos[v] its next slot in a refined partition.
+	stamp []uint32
+	count []int32
+	pos   []int32
+	gen   uint32
 }
 
 func newEngine(t *table.Table) *engine {
@@ -110,15 +134,23 @@ func newEngine(t *table.Table) *engine {
 		codes:     make([][]uint32, t.NumCols()),
 		codeSizes: make([]int, t.NumCols()),
 		cards:     make(map[attrset]int),
+		parts:     make(map[attrset]*partition),
 	}
+	width := 0
 	for c := 0; c < e.nCols; c++ {
 		e.codes[c], e.codeSizes[c] = t.CanonCodes(c)
+		width = max(width, e.codeSizes[c])
 	}
+	e.stamp = make([]uint32, width)
+	e.count = make([]int32, width)
+	e.pos = make([]int32, width)
 	return e
 }
 
 // card returns the number of distinct tuples in the projection onto s,
-// caching results across the lattice exploration.
+// caching results across the lattice exploration. A multi-column set
+// is counted from the smallest held partition of s minus one
+// attribute, or from a partition built from scratch when none is held.
 func (e *engine) card(s attrset) int {
 	if s == 0 {
 		if e.nRows > 0 {
@@ -129,13 +161,12 @@ func (e *engine) card(s attrset) int {
 	if n, ok := e.cards[s]; ok {
 		return n
 	}
-	cols := s.members(e.nCols)
 	var n int
-	if len(cols) == 1 {
+	if s.size() == 1 {
 		// Single columns read straight off the encoding: the canon code
 		// space is dense, so the distinct count is its size, minus the
 		// null bucket when no row uses it.
-		c := cols[0]
+		c := highest(s)
 		n = e.codeSizes[c] - 1
 		for _, code := range e.codes[c] {
 			if code == 0 { // a null row: the null bucket is populated
@@ -144,22 +175,19 @@ func (e *engine) card(s attrset) int {
 			}
 		}
 	} else {
-		if e.scratch == nil {
-			e.scratch = make(map[uint64]struct{}, e.nRows)
-		}
-		seen := e.scratch
-		for k := range seen {
-			delete(seen, k)
-		}
-		for r := 0; r < e.nRows; r++ {
-			var h uint64 = 14695981039346656037
-			for _, c := range cols {
-				h ^= uint64(e.codes[c][r])
-				h *= 1099511628211
+		var best *partition
+		bestA := -1
+		for rest := s; rest != 0; rest &= rest - 1 {
+			a := bits.TrailingZeros64(uint64(rest))
+			if p := e.parts[s.without(a)]; p != nil && (best == nil || len(p.rows) < len(best.rows)) {
+				best, bestA = p, a
 			}
-			seen[h] = struct{}{}
 		}
-		n = len(seen)
+		if best == nil {
+			bestA = highest(s)
+			best = e.build(s.without(bestA))
+		}
+		n = e.countWith(best, bestA)
 	}
 	e.cards[s] = n
 	return n
@@ -247,13 +275,17 @@ func (e *engine) discover(maxLHS int, firstOnly bool) []FD {
 		}
 	}
 
+	var prev []attrset // the previous level, whose partitions this one refines
 	for size := 1; size <= maxLHS && len(level) > 0; size++ {
-		// Emit FDs from this level's free sets.
+		// Emit FDs from this level's free sets. Each non-key X's
+		// partition refines its parent's, and every |π_{X∪A}| is then
+		// counted from X's partition.
 		for _, x := range level {
 			cx := e.card(x)
 			if cx == nTotal {
 				continue // X is a (super)key: all its FDs are trivial per the paper
 			}
+			e.keep(x)
 			for a := 0; a < e.nCols; a++ {
 				if x.has(a) {
 					continue
@@ -265,9 +297,15 @@ func (e *engine) discover(maxLHS int, firstOnly bool) []FD {
 					}
 				}
 			}
+			if size == maxLHS {
+				e.drop(x) // no next level refines it
+			}
 		}
 		if size == maxLHS {
 			break
+		}
+		for _, x := range prev {
+			e.drop(x)
 		}
 		// Generate the next level of free sets.
 		next := make([]attrset, 0, len(level))
@@ -292,7 +330,18 @@ func (e *engine) discover(maxLHS int, firstOnly bool) []FD {
 				}
 			}
 		}
-		level = next
+		// Hold only the partitions the next level refines: each set's
+		// parent is the set without its highest attribute.
+		parents := make(map[attrset]bool, len(next))
+		for _, x := range next {
+			parents[x.without(highest(x))] = true
+		}
+		for _, x := range level {
+			if !parents[x] {
+				e.drop(x)
+			}
+		}
+		prev, level = level, next
 	}
 
 	sortFDs(fds)

@@ -30,23 +30,24 @@ func DiscoverTANE(t *table.Table, maxLHS int) []FD {
 		fds = append(fds, FD{LHS: lhs.members(nCols), RHS: rhs})
 	}
 
-	// Level 1: singleton partitions; C+(X) starts as the full schema.
-	parts := map[attrset]*partition{}
+	// Level 1: single attributes; C+(X) starts as the full schema.
+	// Validity tests compare partition errors e(X) = nRows − |π_X|, so
+	// X \ A → A holds iff |π_{X\A}| = |π_X|; the engine counts both from
+	// stripped partitions, each level's refined from the previous one's
+	// (TANE's partition product with a single attribute).
 	cplus := map[attrset]attrset{}
 	var level []attrset
 	cplus[0] = full
 	for a := 0; a < nCols; a++ {
-		s := attrset(0).with(a)
-		parts[s] = singletonPartition(e.codes[a], nRows)
-		level = append(level, s)
+		level = append(level, attrset(0).with(a))
 	}
 
 	// The empty set's partition has one class of all rows; ∅ → A holds
 	// iff A is constant. Handle it directly (TANE's level-1 special
 	// case) so constant columns are reported with an empty LHS.
+	constant := func(a int) bool { return nRows > 1 && e.card(attrset(0).with(a)) == 1 }
 	for a := 0; a < nCols; a++ {
-		s := attrset(0).with(a)
-		if nRows > 1 && parts[s].errSum == nRows-1 {
+		if constant(a) {
 			emit(0, a)
 			// A is constant: no minimal FD with A on the LHS side adds
 			// information, and X → A is non-minimal for any X ≠ ∅.
@@ -68,6 +69,7 @@ func DiscoverTANE(t *table.Table, maxLHS int) []FD {
 		return c
 	}
 
+	var prev []attrset // the previous level's pruned sets, whose partitions are held
 	for size := 1; size <= maxLHS+1 && len(level) > 0; size++ {
 		// Compute dependencies for this level.
 		for _, x := range level {
@@ -78,13 +80,12 @@ func DiscoverTANE(t *table.Table, maxLHS int) []FD {
 					continue
 				}
 				lhs := x.without(a)
-				if partitionsEqualError(parts, e, lhs, x) {
+				if e.card(lhs) == e.card(x) {
 					// lhs → a is a valid minimal FD; suppress the paper's
 					// trivial cases: constant columns were handled at ∅,
 					// and superkey LHSs are trivial.
-					lhsIsSuperkey := lhs == 0 || partErr(parts, e, lhs) == 0
-					constant := nRows > 1 && partErr(parts, e, attrset(0).with(a)) == nRows-1
-					if !lhsIsSuperkey && !constant && len(lhs.members(nCols)) <= maxLHS {
+					lhsIsSuperkey := lhs == 0 || e.card(lhs) == nRows
+					if !lhsIsSuperkey && !constant(a) && lhs.size() <= maxLHS {
 						emit(lhs, a)
 					}
 					cplus[x] = cplus[x].without(a)
@@ -99,27 +100,26 @@ func DiscoverTANE(t *table.Table, maxLHS int) []FD {
 			if cplus[x] == 0 {
 				continue
 			}
-			if partErr(parts, e, x) == 0 {
+			if e.card(x) == nRows {
 				// X is a (super)key: TANE would emit its dependents as
 				// trivial FDs; the paper excludes them, so just prune.
 				continue
 			}
 			pruned = append(pruned, x)
 		}
-		// Generate the next level by prefix join.
 		if size >= maxLHS+1 {
 			break
 		}
-		next := generateNextLevel(pruned, nCols)
-		for _, x := range next {
-			// π_X = π_Y · π_Z for two size-(k) subsets; use any split.
-			a := firstMember(x, nCols)
-			y := x.without(a)
-			if parts[x] == nil && parts[y] != nil && parts[attrset(0).with(a)] != nil {
-				parts[x] = productPartition(parts[y], parts[attrset(0).with(a)], nRows)
-			}
+		// Hold the survivors' partitions for the next level's counts,
+		// then release the level they were refined from.
+		for _, x := range pruned {
+			e.keep(x)
 		}
-		level = next
+		for _, x := range prev {
+			e.drop(x)
+		}
+		// Generate the next level by prefix join.
+		prev, level = pruned, generateNextLevel(pruned, nCols)
 	}
 
 	// Deduplicate and sort: C+ pruning already guarantees minimality,
@@ -140,15 +140,6 @@ func dedupeFDs(fds []FD) []FD {
 		out = append(out, f)
 	}
 	return out
-}
-
-func firstMember(s attrset, nCols int) int {
-	for a := 0; a < nCols; a++ {
-		if s.has(a) {
-			return a
-		}
-	}
-	return -1
 }
 
 // generateNextLevel joins same-size sets sharing all but their last
@@ -184,101 +175,4 @@ func generateNextLevel(level []attrset, nCols int) []attrset {
 		}
 	}
 	return next
-}
-
-// partition is a stripped partition: only equivalence classes with at
-// least two rows, plus the cached error Σ(|c|-1). The class count with
-// singletons is nRows - errSum, so X → A holds iff errSum(X) ==
-// errSum(X ∪ A).
-type partition struct {
-	classes [][]int32
-	errSum  int
-}
-
-func singletonPartition(codes []uint32, nRows int) *partition {
-	// Group rows in first-seen order rather than by ranging over a
-	// map, so the class list is identical on every run (map iteration
-	// order is randomized and would reorder classes).
-	idx := make(map[uint32]int32, 64)
-	var groups [][]int32
-	for r := 0; r < nRows; r++ {
-		g, ok := idx[codes[r]]
-		if !ok {
-			g = int32(len(groups))
-			idx[codes[r]] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], int32(r))
-	}
-	p := &partition{}
-	for _, g := range groups {
-		if len(g) >= 2 {
-			p.classes = append(p.classes, g)
-			p.errSum += len(g) - 1
-		}
-	}
-	return p
-}
-
-// productPartition computes the stripped partition of X ∪ Y from the
-// partitions of X and Y (the TANE PRODUCT procedure, linear in the
-// class sizes).
-func productPartition(a, b *partition, nRows int) *partition {
-	t := make([]int32, nRows)
-	for i := range t {
-		t[i] = -1
-	}
-	for i, cls := range a.classes {
-		for _, r := range cls {
-			t[r] = int32(i)
-		}
-	}
-	// Bucket in first-seen order (see singletonPartition): the class
-	// list must not inherit map iteration order.
-	idx := make(map[int64]int32, 64)
-	var groups [][]int32
-	for j, cls := range b.classes {
-		for _, r := range cls {
-			if t[r] < 0 {
-				continue // singleton in a: stays singleton in the product
-			}
-			key := int64(t[r])<<32 | int64(j)
-			g, ok := idx[key]
-			if !ok {
-				g = int32(len(groups))
-				idx[key] = g
-				groups = append(groups, nil)
-			}
-			groups[g] = append(groups[g], r)
-		}
-	}
-	p := &partition{}
-	for _, g := range groups {
-		if len(g) >= 2 {
-			p.classes = append(p.classes, g)
-			p.errSum += len(g) - 1
-		}
-	}
-	return p
-}
-
-// partErr returns the partition error of x, computing (and caching)
-// the partition from the engine's codes when the levelwise products
-// did not materialize it.
-func partErr(parts map[attrset]*partition, e *engine, x attrset) int {
-	if x == 0 {
-		if e.nRows == 0 {
-			return 0
-		}
-		return e.nRows - 1
-	}
-	if p, ok := parts[x]; ok && p != nil {
-		return p.errSum
-	}
-	// |π_X| = card(X) ⇒ errSum = nRows - card(X).
-	return e.nRows - e.card(x)
-}
-
-func partitionsEqualError(parts map[attrset]*partition, e *engine, lhs, x attrset) bool {
-	return partErr(parts, e, lhs) == partErr(parts, e, x)
 }

@@ -38,9 +38,12 @@ func (r *Result) InBCNF() bool { return len(r.Tables) == 1 && r.Steps == 0 }
 const maxDepth = 64
 
 // Decompose runs the BCNF decomposition of t using FDs with
-// |LHS| ≤ maxLHS. The rng drives the uniformly random FD choice of the
-// paper's methodology; it must not be nil.
-func Decompose(t *table.Table, maxLHS int, rng *rand.Rand) *Result {
+// |LHS| ≤ maxLHS. fds must be t's own minimal non-trivial FDs, as
+// fd.Discover(t, maxLHS) returns them, so a caller that has already
+// discovered them does not pay for discovery twice; sub-tables are
+// discovered here. The rng drives the uniformly random FD choice of
+// the paper's methodology; it must not be nil.
+func Decompose(t *table.Table, fds []fd.FD, maxLHS int, rng *rand.Rand) *Result {
 	res := &Result{Original: t}
 	allCols := make([]int, t.NumCols())
 	for i := range allCols {
@@ -54,13 +57,16 @@ func Decompose(t *table.Table, maxLHS int, rng *rand.Rand) *Result {
 	for depth := 0; len(stack) > 0 && depth < maxDepth; depth++ {
 		var next []work
 		for _, w := range stack {
-			fds := fd.Discover(w.t, maxLHS)
-			if len(fds) == 0 {
+			found := fds // the root's, at depth 0
+			if depth > 0 {
+				found = fd.Discover(w.t, maxLHS)
+			}
+			if len(found) == 0 {
 				res.Tables = append(res.Tables, w.t)
 				res.originalCols = append(res.originalCols, w.orig)
 				continue
 			}
-			chosen := fds[rng.Intn(len(fds))]
+			chosen := found[rng.Intn(len(found))]
 			t1, t2, o1, o2 := split(w.t, w.orig, chosen)
 			res.Steps++
 			next = append(next, work{t: t1, orig: o1}, work{t: t2, orig: o2})

@@ -35,7 +35,7 @@ func denormalized() *table.Table {
 func TestDecomposeSplitsCityProvince(t *testing.T) {
 	tb := denormalized()
 	rng := rand.New(rand.NewSource(1))
-	res := Decompose(tb, fd.MaxLHS, rng)
+	res := Decompose(tb, fd.Discover(tb, fd.MaxLHS), fd.MaxLHS, rng)
 	if res.InBCNF() {
 		t.Fatal("denormalized table reported as BCNF")
 	}
@@ -67,7 +67,7 @@ func TestDecomposeBCNFInput(t *testing.T) {
 	tb := table.FromRows("t", []string{"id", "val"}, [][]string{
 		{"1", "a"}, {"2", "b"}, {"3", "c"},
 	})
-	res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(1)))
+	res := Decompose(tb, fd.Discover(tb, fd.MaxLHS), fd.MaxLHS, rand.New(rand.NewSource(1)))
 	if !res.InBCNF() || len(res.Tables) != 1 || res.Steps != 0 {
 		t.Errorf("BCNF input: tables=%d steps=%d", len(res.Tables), res.Steps)
 	}
@@ -78,7 +78,7 @@ func TestDecomposeBCNFInput(t *testing.T) {
 
 func TestSubTablesAreBCNF(t *testing.T) {
 	tb := denormalized()
-	res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(2)))
+	res := Decompose(tb, fd.Discover(tb, fd.MaxLHS), fd.MaxLHS, rand.New(rand.NewSource(2)))
 	for _, st := range res.Tables {
 		if fds := fd.Discover(st, fd.MaxLHS); len(fds) != 0 {
 			t.Errorf("sub-table %v still has FDs: %v", st.Cols, fds)
@@ -91,7 +91,7 @@ func TestLosslessness(t *testing.T) {
 	// (lossless-join property of BCNF decomposition). We verify on the
 	// two-table case by natural-joining the chain of sub-tables.
 	tb := denormalized()
-	res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(3)))
+	res := Decompose(tb, fd.Discover(tb, fd.MaxLHS), fd.MaxLHS, rand.New(rand.NewSource(3)))
 
 	joined := res.Tables[0]
 	for i := 1; i < len(res.Tables); i++ {
@@ -186,7 +186,7 @@ func tupleSet(t *table.Table, colOrder []string) map[string]struct{} {
 
 func TestUniquenessGainIncreases(t *testing.T) {
 	tb := denormalized()
-	res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(4)))
+	res := Decompose(tb, fd.Discover(tb, fd.MaxLHS), fd.MaxLHS, rand.New(rand.NewSource(4)))
 	gain := res.UniquenessGain()
 	if gain <= 1 {
 		t.Errorf("uniqueness gain = %g, want > 1 for a denormalized table", gain)
@@ -196,7 +196,7 @@ func TestUniquenessGainIncreases(t *testing.T) {
 func TestDecomposeDeterministicWithSeed(t *testing.T) {
 	tb := denormalized()
 	shapes := func(seed int64) string {
-		res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(seed)))
+		res := Decompose(tb, fd.Discover(tb, fd.MaxLHS), fd.MaxLHS, rand.New(rand.NewSource(seed)))
 		var parts []string
 		for _, st := range res.Tables {
 			parts = append(parts, strings.Join(st.Cols, ","))
@@ -213,7 +213,7 @@ func TestDecomposeConstantColumn(t *testing.T) {
 	tb := table.FromRows("t", []string{"id", "const"}, [][]string{
 		{"1", "x"}, {"2", "x"}, {"3", "x"},
 	})
-	res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(5)))
+	res := Decompose(tb, fd.Discover(tb, fd.MaxLHS), fd.MaxLHS, rand.New(rand.NewSource(5)))
 	if res.InBCNF() {
 		t.Fatal("constant column table reported BCNF")
 	}
@@ -245,7 +245,7 @@ func TestDecomposeManyFDs(t *testing.T) {
 		"line_id", "fund_code", "fund_description", "fund_type",
 		"dept_number", "dept_description", "amount",
 	}, rows)
-	res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(6)))
+	res := Decompose(tb, fd.Discover(tb, fd.MaxLHS), fd.MaxLHS, rand.New(rand.NewSource(6)))
 	if len(res.Tables) < 3 {
 		t.Errorf("budget table decomposed into only %d sub-tables", len(res.Tables))
 	}
@@ -261,6 +261,6 @@ func BenchmarkDecompose(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Decompose(tb, fd.MaxLHS, rng)
+		Decompose(tb, fd.Discover(tb, fd.MaxLHS), fd.MaxLHS, rng)
 	}
 }

@@ -93,7 +93,7 @@ func TestSchemaOfBCNFDecomposition(t *testing.T) {
 		c := cities[i%3]
 		orig.AppendRow([]string{strconv.Itoa(i + 1), c.c, c.p, strconv.Itoa(1000 + i)})
 	}
-	res := normalize.Decompose(orig, fd.MaxLHS, rand.New(rand.NewSource(2)))
+	res := normalize.Decompose(orig, fd.Discover(orig, fd.MaxLHS), fd.MaxLHS, rand.New(rand.NewSource(2)))
 	if res.InBCNF() {
 		t.Fatal("expected decomposition")
 	}

@@ -201,7 +201,7 @@ func HasNontrivialFD(t *Table) bool { return fd.HasNontrivialFD(t, fd.MaxLHS) }
 // DecomposeBCNF decomposes t into Boyce-Codd normal form using the
 // paper's textbook algorithm with uniformly random FD choice.
 func DecomposeBCNF(t *Table, seed int64) *BCNFResult {
-	return normalize.Decompose(t, fd.MaxLHS, rand.New(rand.NewSource(seed)))
+	return normalize.Decompose(t, fd.Discover(t, fd.MaxLHS), fd.MaxLHS, rand.New(rand.NewSource(seed)))
 }
 
 // KeyColumns returns the indices of single-column keys of t.
